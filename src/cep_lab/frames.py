@@ -1,4 +1,4 @@
-"""Boolean frames, frame constructions, and equational property checkers.
+"""Boolean frames, frame constructions, and the ten equational properties.
 
 A frame is a Boolean algebra plus one arbitrary unary operation f.  Finite
 frames store f as a full lookup table (numpy array over bit encodings), so
@@ -9,20 +9,15 @@ construction and every check here is a pure function.
 
 from __future__ import annotations
 
-import random
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Element, FiniteAlgebra, UsageError, ValidationError
-from .periodic import (EMPTY, MULT4, NATS, EPSet, EPSetSampler, classify,
-                       co_initial_segment_set, ep_join, ep_leq, ep_meet,
-                       ep_neg, finite_set, initial_segment_set,
-                       subadditive_case_pairs)
-
-PROPERTIES = ("normal", "unit_preserving", "additive", "subadditive",
-              "monotone", "extensive", "contractive", "idempotent",
-              "semi_complemented", "symmetric")
+from .periodic import (EMPTY, MULT4, NATS, EPSet, classify,
+                       co_initial_segment_set, ep_join, ep_neg, finite_set,
+                       initial_segment_set, subadditive_case_pairs)
 
 
 @dataclass(frozen=True)
@@ -36,6 +31,10 @@ class Sampled:
 
     count: int = 10000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise UsageError(f"sample count must be at least 1, got {self.count}")
 
 
 EXHAUSTIVE = Exhaustive()
@@ -370,176 +369,49 @@ def family_frame(family: str, x: EPSet) -> SymbolicFrame:
 
 
 # ---------------------------------------------------------------------------
-# Property checking
+# Property checking: each property is an identity, decided by check_identity
 
 
-class _BitOps:
-    """Bitwise Boolean structure over encodings (ints or numpy arrays)."""
-
-    def __init__(self, table, mask):
-        self.table = table
-        self.mask = np.uint32(mask)
-        self.zero = np.uint32(0)
-        self.one = np.uint32(mask)
-
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
-
-    def neg(self, a):
-        return self.mask ^ a
-
-    def f(self, a):
-        return self.table[a]
-
-    def eq(self, a, b):
-        return a == b
-
-    def leq(self, a, b):
-        return (a & b) == a
-
-
-class _EpOps:
-    zero = EMPTY
-    one = NATS
-
-    def __init__(self, frame: SymbolicFrame):
-        self.f = frame.apply
-
-    meet = staticmethod(ep_meet)
-    join = staticmethod(ep_join)
-    neg = staticmethod(ep_neg)
-    leq = staticmethod(ep_leq)
-
-    def eq(self, a, b):
-        return a == b
-
-
-def _p_normal(o):
-    return o.eq(o.f(o.zero), o.zero)
-
-
-def _p_unit(o):
-    return o.eq(o.f(o.one), o.one)
-
-
-def _p_additive(o, x, y):
-    return o.eq(o.f(o.join(x, y)), o.join(o.f(x), o.f(y)))
-
-
-def _p_subadditive(o, x, y):
-    return o.leq(o.f(o.join(x, y)), o.join(o.f(x), o.f(y)))
-
-
-def _p_monotone(o, x, y):
-    return o.leq(o.join(o.f(x), o.f(y)), o.f(o.join(x, y)))
-
-
-def _p_extensive(o, x):
-    return o.leq(x, o.f(x))
-
-
-def _p_contractive(o, x):
-    return o.leq(o.f(x), x)
-
-
-def _p_idempotent(o, x):
-    return o.eq(o.f(o.f(x)), o.f(x))
-
-
-def _p_semi_complemented(o, x):
-    return o.eq(o.f(o.neg(x)), o.neg(o.f(x)))
-
-
-def _p_symmetric(o, x):
-    return o.leq(x, o.neg(o.f(o.neg(o.f(x)))))
-
-
-PROPERTY_DEFS = {
-    "normal": (0, _p_normal),
-    "unit_preserving": (0, _p_unit),
-    "additive": (2, _p_additive),
-    "subadditive": (2, _p_subadditive),
-    "monotone": (2, _p_monotone),
-    "extensive": (1, _p_extensive),
-    "contractive": (1, _p_contractive),
-    "idempotent": (1, _p_idempotent),
-    "semi_complemented": (1, _p_semi_complemented),
-    "symmetric": (1, _p_symmetric),
+# x <= y is written so that no compound side repeats: x & y = x, x | y = y,
+# or x & -y = 0
+PROPERTY_IDENTITIES = {
+    "normal": "f(0) = 0",
+    "unit_preserving": "f(1) = 1",
+    "additive": "f(x | y) = f(x) | f(y)",
+    "subadditive": "f(x | y) & -(f(x) | f(y)) = 0",
+    "monotone": "(f(x) | f(y)) & -f(x | y) = 0",
+    "extensive": "x & f(x) = x",
+    "contractive": "f(x) | x = x",
+    "idempotent": "f(f(x)) = f(x)",
+    "semi_complemented": "f(-x) = -f(x)",
+    "symmetric": "x & f(-f(x)) = 0",
 }
+PROPERTIES = tuple(PROPERTY_IDENTITIES)
 
-_VAR_NAMES = ("x", "y")
 
+@functools.cache
+def _property_identity(prop: str):
+    from .terms import parse_identity  # terms imports this module
 
-def _exhaustive_check(frame: FiniteFrame, arity, pred) -> Verdict:
-    n = frame.alg.atom_count
-    ops = _BitOps(frame.table, frame.alg.mask)
-    if arity == 0:
-        if bool(pred(ops)):
-            return Verdict("holds")
-        return Verdict("fails", {})
-    xs = np.arange(frame.alg.size, dtype=np.uint32)
-    if arity == 1:
-        res = pred(ops, xs)
-        if bool(res.all()):
-            return Verdict("holds")
-        i = int(np.argmax(~res))
-        return Verdict("fails", {"x": Element(i, n)})
-    for x in range(frame.alg.size):
-        res = pred(ops, np.uint32(x), xs)
-        if not bool(res.all()):
-            y = int(np.argmax(~res))
-            return Verdict("fails", {"x": Element(x, n), "y": Element(y, n)})
-    return Verdict("holds")
+    return parse_identity(PROPERTY_IDENTITIES[prop])
 
 
 def check_property(frame, prop: str, strategy=EXHAUSTIVE) -> Verdict:
-    """Decide an equational property of the frame operation.
+    """Decide a property by checking its identity in `PROPERTY_IDENTITIES`.
 
-    Exhaustive scans give definite verdicts with a least counterexample;
-    sampling (mandatory for symbolic frames) gives `holds_on_sample` or a
-    definite failure.  Sampling on a symbolic frame draws from the seeded
-    EPSet generator, and the subadditive check additionally walks the full
-    finite/infinite case grid of argument shapes.
+    Verdicts and witnesses are those of `check_identity`.  On a symbolic
+    frame the subadditive check first tries the case pairs of
+    `subadditive_case_pairs`, then samples the rest of `strategy.count`.
     """
-    if prop not in PROPERTY_DEFS:
+    from .terms import check_identity
+
+    if prop not in PROPERTY_IDENTITIES:
         raise UsageError(f"unknown property {prop!r}")
-    arity, pred = PROPERTY_DEFS[prop]
-
-    if isinstance(frame, FiniteFrame):
-        if isinstance(strategy, Exhaustive):
-            return _exhaustive_check(frame, arity, pred)
-        ops = _BitOps(frame.table, frame.alg.mask)
-        rng = random.Random(strategy.seed)
-        n = frame.alg.atom_count
-        for _ in range(strategy.count):
-            args = tuple(rng.randrange(frame.alg.size) for _ in range(arity))
-            if not bool(pred(ops, *args)):
-                witness = {v: Element(a, n) for v, a in zip(_VAR_NAMES, args)}
-                return Verdict("fails", witness)
-        return Verdict("holds_on_sample")
-
-    if not isinstance(frame, SymbolicFrame):
-        raise UsageError(f"not a frame: {frame!r}")
-    if isinstance(strategy, Exhaustive):
-        raise UsageError("exhaustive checks need a finite frame; use Sampled")
-    ops = _EpOps(frame)
-    if arity == 0:
-        # ground: a single evaluation decides it
-        return Verdict("holds") if pred(ops) else Verdict("fails", {})
-    sampler = EPSetSampler(strategy.seed)
-    trials = []
-    if arity == 2 and prop == "subadditive":
-        trials.extend(subadditive_case_pairs(frame.params.get("x", finite_set((3, 5)))))
-    while len(trials) < strategy.count:
-        trials.append(tuple(sampler.sample() for _ in range(arity))
-                      if arity > 1 else (sampler.sample(),))
-    for args in trials[:max(strategy.count, len(trials))]:
-        if not pred(ops, *args):
-            return Verdict("fails", dict(zip(_VAR_NAMES, args)))
-    return Verdict("holds_on_sample")
+    first = ()
+    if prop == "subadditive" and isinstance(frame, SymbolicFrame):
+        pairs = subadditive_case_pairs(frame.params.get("x", finite_set((3, 5))))
+        first = [{"x": a, "y": b} for a, b in pairs]
+    return check_identity(frame, _property_identity(prop), strategy, _first=first)
 
 
 def flat_condition(frame: FiniteFrame) -> bool:

@@ -293,7 +293,13 @@ def subadditive_case_pairs(x_set: EPSet) -> list[tuple[EPSet, EPSet]]:
     with co-atom complements both inside and outside the parameter set."""
     members = x_set.finite_members() if x_set.is_finite else []
     n_in = members[0] if members else 3
-    n_out = next(k for k in range(n_in + 5) if not x_set.member(k))
+    # the tail repeats from the threshold on, so a set with no non-member
+    # below threshold + modulus is N, and the two n_out pairs are dropped
+    n_out = next((k for k in range(x_set.threshold + x_set.modulus)
+                  if not x_set.member(k)), None)
+    out_pairs = [] if n_out is None else [
+        (co_initial_segment_set(n_out), initial_segment_set(n_out)),
+        (co_singleton_set(n_out), EMPTY)]
     e_star_sample = make_periodic(2, (0,), {2: False, 5: True})
     return [
         # both finite: initial-segment and scattered unions
@@ -304,8 +310,7 @@ def subadditive_case_pairs(x_set: EPSet) -> list[tuple[EPSet, EPSet]]:
         (finite_set((0, 1)), finite_set((2, 3))),
         # infinite + finite, union a co-atom with parameter in / out
         (co_initial_segment_set(n_in), initial_segment_set(n_in)),
-        (co_initial_segment_set(n_out), initial_segment_set(n_out)),
-        (co_singleton_set(n_out), EMPTY),
+        *out_pairs,
         (co_singleton_set(n_in), EMPTY),
         # infinite + finite, union not a co-atom
         (MULT4, finite_set((1,))),

@@ -9,6 +9,7 @@ with partial-evaluation memoization so the quantifier nesting stays cheap.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .core import Element, ParseError, UsageError
 from .frames import (EXHAUSTIVE, Exhaustive, FiniteFrame, Sampled,
                      SymbolicFrame, Verdict)
-from .periodic import EMPTY, EPSet, EPSetSampler, ep_meet, ep_neg
+from .periodic import EMPTY, EPSet, EPSetSampler, ep_join, ep_meet, ep_neg
 
 
 class Term:
@@ -427,20 +428,26 @@ def _eval_bits(t: Term, table, mask, asgn):
 
 
 def _eval_ep(t: Term, frame: SymbolicFrame, asgn):
-    if isinstance(t, Const0):
-        return EMPTY
-    if isinstance(t, ConstBits):
-        raise UsageError("bit constants only evaluate on finite frames")
+    # the nodes of sampled checks first: this runs for every node of every trial
     if isinstance(t, Var):
         try:
             return asgn[t.name]
         except KeyError:
             raise UsageError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, Neg):
-        return ep_neg(_eval_ep(t.arg, frame, asgn))
     if isinstance(t, FApp):
         return frame.apply(_eval_ep(t.arg, frame, asgn))
-    return ep_meet(_eval_ep(t.left, frame, asgn), _eval_ep(t.right, frame, asgn))
+    if isinstance(t, Meet):
+        return ep_meet(_eval_ep(t.left, frame, asgn), _eval_ep(t.right, frame, asgn))
+    if isinstance(t, Neg):
+        a = t.arg
+        if isinstance(a, Meet) and isinstance(a.left, Neg) and isinstance(a.right, Neg):
+            # a desugared join: one ep_join instead of three negations and a meet
+            return ep_join(_eval_ep(a.left.arg, frame, asgn),
+                           _eval_ep(a.right.arg, frame, asgn))
+        return ep_neg(_eval_ep(a, frame, asgn))
+    if isinstance(t, Const0):
+        return EMPTY
+    raise UsageError("bit constants only evaluate on finite frames")
 
 
 def eval_term(frame, t: Term, assignment: dict):
@@ -542,46 +549,30 @@ def _identity_exhaustive(frame: FiniteFrame, e: Identity) -> Verdict:
     size = frame.alg.size
     mask = np.uint32(frame.alg.mask)
     names = sorted(e.variables())
-    if not names:
-        asgn = {}
-        ok = int(_eval_bits(e.lhs, frame.table, mask, asgn)) == \
-            int(_eval_bits(e.rhs, frame.table, mask, asgn))
-        return Verdict("holds") if ok else Verdict("fails", {})
-    last = names[-1]
-    arr = np.arange(size, dtype=np.uint32)
-
-    def rec(prefix: dict, remaining):
-        if len(remaining) == 1:
-            asgn = dict(prefix)
-            asgn[last] = arr
-            res = _eval_bits(e.lhs, frame.table, mask, asgn) == \
-                _eval_bits(e.rhs, frame.table, mask, asgn)
-            if bool(res.all()):
-                return None
-            bad = int(np.argmax(~res))
-            out = {k: Element(int(v), n) for k, v in prefix.items()}
-            out[last] = Element(bad, n)
-            return out
-        name = remaining[0]
-        for v in range(size):
-            prefix[name] = np.uint32(v)
-            hit = rec(prefix, remaining[1:])
-            if hit is not None:
-                return hit
-        del prefix[name]
-        return None
-
-    witness = rec({}, names)
-    return Verdict("holds") if witness is None else Verdict("fails", witness)
+    outer, last = names[:-1], names[-1:]  # last is [] for a ground identity
+    scan = {v: np.arange(size, dtype=np.uint32) for v in last}
+    # outer variables in lexicographic order, the last one vectorized, so
+    # the first failing assignment is the least counterexample
+    for values in itertools.product(range(size), repeat=len(outer)):
+        asgn = dict(zip(outer, map(np.uint32, values)), **scan)
+        res = _eval_bits(e.lhs, frame.table, mask, asgn) == \
+            _eval_bits(e.rhs, frame.table, mask, asgn)
+        if not bool(res.all()):
+            witness = {k: Element(v, n) for k, v in zip(outer, values)}
+            witness.update((v, Element(int(np.argmax(~res)), n)) for v in last)
+            return Verdict("fails", witness)
+    return Verdict("holds")
 
 
-def check_identity(frame, e: Identity, strategy=EXHAUSTIVE) -> Verdict:
+def check_identity(frame, e: Identity, strategy=EXHAUSTIVE, *, _first=()) -> Verdict:
     """Decide an identity on a frame.
 
     Finite + exhaustive scans every assignment (vectorized over the last
     variable) and reports the least counterexample.  Ground identities get
     a definite verdict on any frame; open identities on symbolic frames
     require a Sampled strategy and draw assignments from the EPSet sampler.
+    `_first` holds assignments tried on a symbolic frame before sampling;
+    they count towards `strategy.count`.
     """
     names = sorted(e.variables())
     if isinstance(frame, FiniteFrame):
@@ -605,8 +596,9 @@ def check_identity(frame, e: Identity, strategy=EXHAUSTIVE) -> Verdict:
     if isinstance(strategy, Exhaustive):
         raise UsageError("exhaustive checks need a finite frame; use Sampled")
     sampler = EPSetSampler(strategy.seed)
-    for _ in range(strategy.count):
-        asgn = {v: sampler.sample() for v in names}
+    drawn = ({v: sampler.sample() for v in names}
+             for _ in range(strategy.count - len(_first)))
+    for asgn in itertools.chain(_first, drawn):
         if _eval_ep(e.lhs, frame, asgn) != _eval_ep(e.rhs, frame, asgn):
             return Verdict("fails", asgn)
     return Verdict("holds_on_sample")

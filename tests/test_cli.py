@@ -1,6 +1,10 @@
 """Command-line surface: expressions, file formats, exit codes, reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,10 @@ def test_cli_check_commands(capsys):
                 "--identity", "x & f(x) = x", "--mode", "psi", "--k", "2"]) == 0
     assert capsys.readouterr().out.strip() == "holds"
 
+    assert run(["check", "props", "--frame", "family C x=N",
+                "--prop", "subadditive"]) == 0
+    assert capsys.readouterr().out.strip() == "holds_on_sample"
+
 
 def test_cli_cong_and_cep(capsys):
     assert run(["cong", "simple", "--frame", "sharp(wheel 5)"]) == 0
@@ -134,11 +142,34 @@ def test_cli_verify_item_and_report(tmp_path, capsys):
     assert doc["items"][0]["item"] == "figure1"
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys):
     assert run(["check", "props", "--frame", "wheel 5"]) == 2
     assert run(["check", "identity", "--frame", "wheel 5"]) == 2
     assert run(["frobnicate"]) == 2
     assert run(["check", "props", "--frame", "wheel 4", "--prop", "normal"]) == 2
+    capsys.readouterr()
+    for argv in (["check", "props", "--frame", "family B x={2,4}",
+                  "--prop", "extensive", "--samples", "0"],
+                 ["verify", "--all", "--samples", "0"]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_module_entry_points():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = python_m("cep_lab", "verify", "--item", "figure1")
+    assert done.returncode == 0
+    assert "[PASS] figure1" in done.stdout
+    done = python_m("cep_lab.cli", "verify", "--item", "nonexistent")
+    assert done.returncode == 2
+    assert "invalid choice" in done.stderr
 
 
 def test_export_dot(tmp_path, capsys):
@@ -163,10 +194,25 @@ def _identity_table(tmp_path):
     return str(path)
 
 
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_all_seed11.json"
+
+
+def _report_diff(expected: bytes, got: bytes) -> str:
+    want = {i["item"]: i for i in json.loads(expected)["items"]}
+    have = {i["item"]: i for i in json.loads(got)["items"]}
+    lines = [f"{name}: expected {json.dumps(want.get(name), sort_keys=True)}, "
+             f"got {json.dumps(have.get(name), sort_keys=True)}"
+             for name in sorted(want.keys() | have.keys())
+             if want.get(name) != have.get(name)]
+    return "\n".join(lines) or "items equal; the top-level fields or the formatting differ"
+
+
 def test_verify_all_deterministic_reports(tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run(["verify", "--all", "--seed", "11", "--samples", "2000",
                 "--report", str(r1)]) == 0
+    golden = GOLDEN_REPORT.read_bytes()
+    assert r1.read_bytes() == golden, _report_diff(golden, r1.read_bytes())
     assert run(["verify", "--all", "--seed", "11", "--samples", "2000",
                 "--report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()

@@ -11,7 +11,9 @@ from cep_lab.frames import (EXHAUSTIVE, KripkeFrame, Sampled, apply_f,
                             identity_frame, neg_op, negation_frame, sharp,
                             star, wheel)
 from cep_lab.periodic import (EMPTY, EVENS, MULT4, NATS, ODDS, EPSetSampler,
-                              cofinite_set, finite_set, make_periodic)
+                              co_initial_segment_set, co_singleton_set,
+                              cofinite_set, finite_set, initial_segment_set,
+                              make_periodic, subadditive_case_pairs)
 
 
 def test_finite_frame_from_mapping():
@@ -173,6 +175,9 @@ def test_check_property_examples():
         check_property(fa, "extensive", EXHAUSTIVE)
     with pytest.raises(UsageError):
         check_property(wheel(5), "transitive")
+    for count in (0, -3):
+        with pytest.raises(UsageError):
+            Sampled(count, 0)
 
 
 def test_property_counterexamples_are_least():
@@ -212,6 +217,19 @@ def test_neg_op_is_pointwise_complement():
     anti = neg_op(w5)
     for x in (0, 1, 17, 63):
         assert anti.table[x] == w5.alg.mask ^ w5.table[x]
+
+
+def test_subadditive_case_pairs_without_small_non_members():
+    # the least non-member n_out of X: none for N, far past n_in = 0 for {0..9}
+    for x, n_out in ((NATS, None), (finite_set(range(5)), 5),
+                     (finite_set(range(10)), 10), (finite_set((3, 5)), 0)):
+        pairs = subadditive_case_pairs(x)
+        out_pairs = [(co_initial_segment_set(n_out), initial_segment_set(n_out)),
+                     (co_singleton_set(n_out), EMPTY)] if n_out is not None else []
+        assert len(pairs) == 16 + len(out_pairs)
+        assert pairs[6:6 + len(out_pairs)] == out_pairs
+        v = check_property(family_frame("C", x), "subadditive", Sampled(300, 9))
+        assert v.status == "holds_on_sample", x
 
 
 def test_symbolic_sampled_failure_reports_witness():
