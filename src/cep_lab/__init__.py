@@ -1,16 +1,14 @@
 """Boolean frames, congruence lattices, and congruence-extension checking."""
 
 from .core import (ATOM_CAP, CepLabError, Element, FiniteAlgebra, ParseError,
-                   ResourceLimitError, UsageError, ValidationError,
-                   pair_decode, pair_encode, powerset_algebra, product_algebra)
+                   ResourceLimitError, UsageError, ValidationError)
 from .periodic import (EMPTY, EVENS, MULT4, NATS, ODDS, CaseTag, EPSet,
                        EPSetSampler, classify, co_initial_segment_set,
                        co_singleton_set, cofinite_set, ep_bicond,
-                       ep_boolean_op, ep_equal, ep_join, ep_leq, ep_meet,
-                       ep_membership, ep_neg, finite_set, initial_segment_set,
-                       make_periodic)
+                       ep_boolean_op, ep_join, ep_leq, ep_meet, ep_neg,
+                       finite_set, initial_segment_set, make_periodic)
 from .frames import (EXHAUSTIVE, Exhaustive, FiniteFrame, KripkeFrame,
-                     PROPERTIES, Sampled, SymbolicFrame, Verdict, apply_f,
+                     PROPERTIES, Sampled, SymbolicFrame, Verdict,
                      check_property, complex_algebra, constant_zero_frame,
                      family_frame, finite_frame, flat, flat_condition,
                      frame_product, identity_frame, neg_op, negation_frame,

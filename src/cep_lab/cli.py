@@ -19,7 +19,7 @@ from .congruence import (BUILTIN_TRACES, TraceStep, cep_check_full,
                          generate_subalgebra, infinite_odds_filter, is_simple,
                          replay_trace)
 from .core import (CepLabError, Element, FiniteAlgebra, ParseError,
-                   ResourceLimitError, UsageError, ValidationError)
+                   UsageError, ValidationError)
 from .frames import (EXHAUSTIVE, FiniteFrame, KripkeFrame, PROPERTIES, Sampled,
                      SymbolicFrame, check_property, complex_algebra,
                      family_frame, flat, frame_product, neg_op, sharp, star,
@@ -32,6 +32,23 @@ from .verification import REGISTRY, run_all, run_item
 _NAMED_SETS = {"E": EVENS, "O": ODDS, "2E": MULT4, "N": NATS, "empty": EMPTY}
 
 
+def _int(text: str, what: str, base: int = 10, path: str | None = None) -> int:
+    """`int(text, base)` for a numeric field of user input.  A bad field
+    raises `ParseError` in an expression or literal, and `ValidationError`
+    naming the file when it comes from `path`."""
+    try:
+        return int(text, base)
+    except ValueError:
+        message = f"bad {what} {text!r}"
+        if path is None:
+            raise ParseError(message, 0) from None
+        raise ValidationError(f"{path}: {message}") from None
+
+
+def _ints(body: str, what: str) -> list[int]:
+    return [_int(p, what) for p in body.split(",") if p.strip()]
+
+
 def parse_epset_literal(text: str) -> EPSet:
     """Set literal: E | O | 2E | N | empty | {1,2,3} | co{3} |
     periodic m=<nat> r=<n,n,...> except=<+i,-j,...>."""
@@ -39,23 +56,19 @@ def parse_epset_literal(text: str) -> EPSet:
     if text in _NAMED_SETS:
         return _NAMED_SETS[text]
     if text.startswith("{") and text.endswith("}"):
-        body = text[1:-1].strip()
-        members = [int(p) for p in body.split(",") if p.strip()] if body else []
-        return finite_set(members)
+        return finite_set(_ints(text[1:-1], "set member"))
     if text.startswith("co{") and text.endswith("}"):
-        body = text[3:-1].strip()
-        members = [int(p) for p in body.split(",") if p.strip()] if body else []
+        members = _ints(text[3:-1], "set member")
         return make_periodic(1, (0,), {n: False for n in members})
     if text.startswith("periodic"):
         modulus, residues, exceptions = 0, [], {}
         seen_m = False
         for field in text[len("periodic"):].split():
             if field.startswith("m="):
-                modulus = int(field[2:])
+                modulus = _int(field[2:], "modulus")
                 seen_m = True
             elif field.startswith("r="):
-                body = field[2:]
-                residues = [int(p) for p in body.split(",") if p.strip()]
+                residues = _ints(field[2:], "residue")
             elif field.startswith("except="):
                 for part in field[len("except="):].split(","):
                     part = part.strip()
@@ -63,7 +76,7 @@ def parse_epset_literal(text: str) -> EPSet:
                         continue
                     if part[0] not in "+-":
                         raise ParseError("exception entries start with + or -", 0)
-                    exceptions[int(part[1:])] = part[0] == "+"
+                    exceptions[_int(part[1:], "exception")] = part[0] == "+"
             else:
                 raise ParseError(f"unknown periodic field {field!r}", 0)
         if not seen_m:
@@ -101,13 +114,14 @@ def load_table_frame(path: str) -> FiniteFrame:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("atoms:"):
         raise ValidationError(f"{path}: first line must be `atoms: n`")
-    alg = FiniteAlgebra(int(lines[0][len("atoms:"):].strip()))
+    alg = FiniteAlgebra(_int(lines[0][len("atoms:"):].strip(), "atom count", path=path))
     mapping = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "f":
             raise ValidationError(f"{path}: expected `f <hex> <hex>`, got {ln!r}")
-        mapping[alg.element(int(parts[1], 16))] = alg.element(int(parts[2], 16))
+        x, y = (_int(p, "hex element", 16, path) for p in parts[1:])
+        mapping[alg.element(x)] = alg.element(y)
     from .frames import finite_frame
 
     return finite_frame(alg, mapping, path)
@@ -143,7 +157,7 @@ def parse_frame_expr(text: str):
     head = parts[0]
     rest = parts[1] if len(parts) > 1 else ""
     if head == "wheel":
-        return wheel(int(rest))
+        return wheel(_int(rest, "wheel size"))
     if head == "complex":
         return complex_algebra(load_kripke(rest.strip()))
     if head == "table":
@@ -165,6 +179,9 @@ def parse_frame_expr(text: str):
 
 
 def load_trace(path: str) -> tuple:
+    def ref(text):
+        return _int(text, "step reference", path=path)
+
     steps = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -178,16 +195,16 @@ def load_trace(path: str) -> tuple:
                                                parse_epset_literal(parts[2]))))
             elif kind == "below" and len(parts) == 4 and parts[2] == "from":
                 steps.append(TraceStep("below", (parse_epset_literal(parts[1]),),
-                                       (int(parts[3]),)))
+                                       (ref(parts[3]),)))
             elif kind == "fstep" and len(parts) == 2:
-                steps.append(TraceStep("fstep", (), (int(parts[1]),)))
+                steps.append(TraceStep("fstep", (), (ref(parts[1]),)))
             elif kind == "bool" and len(parts) >= 3:
                 steps.append(TraceStep("bool", (),
-                                       tuple(int(p) for p in parts[2:]),
+                                       tuple(ref(p) for p in parts[2:]),
                                        op=parts[1]))
             elif kind == "trans" and len(parts) == 3:
                 steps.append(TraceStep("trans", (),
-                                       (int(parts[1]), int(parts[2]))))
+                                       (ref(parts[1]), ref(parts[2]))))
             elif kind == "conclude" and len(parts) == 1:
                 steps.append(TraceStep("conclude"))
             else:
@@ -198,16 +215,12 @@ def load_trace(path: str) -> tuple:
 # ---------------------------------------------------------------------------
 # DOT export
 
-_DOT_CAP = 4096
-
 
 def export_lattice(frame, path: str | None) -> str:
     """DOT digraph of the congruence order: nodes are congruential elements
     (hex), edges the covering relation from smaller to larger congruence."""
     if not isinstance(frame, FiniteFrame):
         raise UsageError("lattice export needs a finite frame")
-    if frame.alg.size > _DOT_CAP:
-        raise ResourceLimitError(f"carrier {frame.alg.size} above export cap {_DOT_CAP}")
     lat = congruence_lattice(frame)
     elems = [e.bits for e in lat.elements]
     width = max(1, (frame.alg.atom_count + 3) // 4)
@@ -292,8 +305,15 @@ def _cmd_check(args) -> int:
     return _print_verdict(check_clause(frame, clause), args)
 
 
-def _cmd_cong(args) -> int:
+def _finite_frame(args) -> FiniteFrame:
     frame = parse_frame_expr(args.frame)
+    if not isinstance(frame, FiniteFrame):
+        raise UsageError(f"{args.command} {args.what} needs a finite frame")
+    return frame
+
+
+def _cmd_cong(args) -> int:
+    frame = _finite_frame(args)
     if args.what == "simple":
         simple = is_simple(frame)
         print("simple" if simple else "not simple")
@@ -308,12 +328,12 @@ def _cmd_cong(args) -> int:
     return 0
 
 
-def _parse_gens(frame, text):
-    return tuple(frame.alg.element(int(p, 16)) for p in text.split(",") if p.strip())
+def _hex_element(frame, text):
+    return frame.alg.element(_int(text, "hex element", 16))
 
 
 def _cmd_cep(args) -> int:
-    frame = parse_frame_expr(args.frame)
+    frame = _finite_frame(args)
     if args.what == "full":
         verdict = cep_check_full(frame)
         if verdict.holds:
@@ -330,8 +350,9 @@ def _cmd_cep(args) -> int:
                                  "element": verdict.element.bits,
                                  "witness": verdict.witness.bits})
         return 0
-    sub = generate_subalgebra(frame, _parse_gens(frame, args.gens))
-    verdict = cep_refute(frame, sub, frame.alg.element(int(args.element, 16)))
+    gens = tuple(_hex_element(frame, p) for p in args.gens.split(",") if p.strip())
+    sub = generate_subalgebra(frame, gens)
+    verdict = cep_refute(frame, sub, _hex_element(frame, args.element))
     if verdict.refuted:
         print(f"refuted witness {verdict.witness.bits:#x}")
     else:
@@ -397,14 +418,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Boolean frames, congruence lattices, and congruence "
                     "extension checking")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common.add_argument("--samples", type=int, default=10000,
-                        help="sample count for sampled strategies")
     common.add_argument("--report", default=None,
                         help="write a machine-readable JSON report here")
+    sampling = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampling.add_argument("--seed", type=int, default=0, help="sampling seed")
+    sampling.add_argument("--samples", type=int, default=10000,
+                          help="sample count for sampled strategies")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", parents=[common],
+    check = sub.add_parser("check", parents=[sampling],
                            help="check a property, identity, or clause")
     check.add_argument("what", choices=("props", "identity", "clause"))
     check.add_argument("--frame", required=True)
@@ -416,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--k", type=int, default=2)
 
     # `eval` is shorthand for `check identity`
-    ev = sub.add_parser("eval", parents=[common], help="evaluate an identity on a frame")
+    ev = sub.add_parser("eval", parents=[sampling], help="evaluate an identity on a frame")
     ev.add_argument("--frame", required=True)
     ev.add_argument("--identity", required=True)
     ev.add_argument("--strategy", choices=("exhaustive", "sampled"), default=None)
@@ -441,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--file", help="trace file (with --frame)")
     trace.add_argument("--frame", help="symbolic frame expression (with --file)")
 
-    verify = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    verify = sub.add_parser("verify", parents=[sampling], help="run the verification suite")
     group = verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--item", choices=tuple(sorted(REGISTRY)))

@@ -2,7 +2,8 @@
 
 Every finite Boolean algebra is a powerset algebra, so an algebra is
 identified by its atom count alone.  Elements are immutable bit patterns
-(atom i <-> bit i); all Boolean operations are bitwise.  Everything here is
+(atom i <-> bit i); the Boolean operations are `Element`'s bitwise
+operators `&`, `|`, `^`, `~` and its order `leq`.  Everything here is
 pure and hashable, which the closure and scanning loops downstream rely on.
 """
 
@@ -130,42 +131,6 @@ class FiniteAlgebra:
                     f"element of width {x.width} does not belong to {self!r}"
                 )
 
-    def meet(self, x: Element, y: Element) -> Element:
-        self._own(x, y)
-        return Element(x.bits & y.bits, self.atom_count)
-
-    def join(self, x: Element, y: Element) -> Element:
-        self._own(x, y)
-        return Element(x.bits | y.bits, self.atom_count)
-
-    def neg(self, x: Element) -> Element:
-        self._own(x)
-        return Element(x.bits ^ self.mask, self.atom_count)
-
-    def arrow(self, x: Element, y: Element) -> Element:
-        self._own(x, y)
-        return Element((x.bits ^ self.mask) | y.bits, self.atom_count)
-
-    def bicond(self, x: Element, y: Element) -> Element:
-        # complement of the symmetric difference
-        self._own(x, y)
-        return Element((x.bits ^ y.bits) ^ self.mask, self.atom_count)
-
-    _OPS = {"meet": (2, "meet"), "join": (2, "join"), "neg": (1, "neg"),
-            "arrow": (2, "arrow"), "bicond": (2, "bicond")}
-
-    def boolean_op(self, op: str, *args: Element) -> Element:
-        if op not in self._OPS:
-            raise UsageError(f"unknown Boolean operation {op!r}")
-        arity, method = self._OPS[op]
-        if len(args) != arity:
-            raise UsageError(f"{op} expects {arity} argument(s), got {len(args)}")
-        return getattr(self, method)(*args)
-
-    def leq(self, x: Element, y: Element) -> bool:
-        self._own(x, y)
-        return x.bits & y.bits == x.bits
-
     def elements(self) -> Iterator[Element]:
         """All elements in ascending encoding (part of the contract)."""
         n = self.atom_count
@@ -176,38 +141,4 @@ class FiniteAlgebra:
 
     def coatoms(self) -> list[Element]:
         """Complements of the atoms, listed in atom order."""
-        return [self.neg(a) for a in self.atoms()]
-
-    def enumerate(self, which: str = "all") -> list[Element]:
-        if which == "all":
-            return list(self.elements())
-        if which == "atoms":
-            return self.atoms()
-        if which == "coatoms":
-            return self.coatoms()
-        raise UsageError(f"unknown enumeration kind {which!r}")
-
-
-def powerset_algebra(atom_count: int) -> FiniteAlgebra:
-    return FiniteAlgebra(atom_count)
-
-
-def product_algebra(alg_a: FiniteAlgebra, alg_b: FiniteAlgebra) -> FiniteAlgebra:
-    return FiniteAlgebra(alg_a.atom_count + alg_b.atom_count)
-
-
-def pair_encode(alg_a: FiniteAlgebra, alg_b: FiniteAlgebra,
-                x: Element, y: Element) -> Element:
-    """Bijection A x B -> product carrier; x occupies the high (first) block."""
-    alg_a._own(x)
-    alg_b._own(y)
-    return Element((x.bits << alg_b.atom_count) | y.bits,
-                   alg_a.atom_count + alg_b.atom_count)
-
-
-def pair_decode(alg_a: FiniteAlgebra, alg_b: FiniteAlgebra,
-                z: Element) -> tuple[Element, Element]:
-    if z.width != alg_a.atom_count + alg_b.atom_count:
-        raise UsageError("element width does not match the product carrier")
-    return (Element(z.bits >> alg_b.atom_count, alg_a.atom_count),
-            Element(z.bits & alg_b.mask, alg_b.atom_count))
+        return [~a for a in self.atoms()]

@@ -77,6 +77,8 @@ class FiniteFrame:
         return f"FiniteFrame({self.name!r}, atoms={self.alg.atom_count})"
 
     def apply(self, x: Element) -> Element:
+        if not isinstance(x, Element):
+            raise UsageError(f"finite frames act on Elements, got {type(x).__name__}")
         self.alg._own(x)
         return Element(int(self.table[x.bits]), self.alg.atom_count)
 
@@ -98,17 +100,6 @@ class SymbolicFrame:
         if not isinstance(s, EPSet):
             raise UsageError(f"symbolic frames act on EPSets, got {type(s).__name__}")
         return self._rule(s)
-
-
-def apply_f(frame, x):
-    """One application of the frame operation, with carrier checks."""
-    if isinstance(frame, FiniteFrame):
-        if not isinstance(x, Element):
-            raise UsageError("finite frames act on Elements")
-        return frame.apply(x)
-    if isinstance(frame, SymbolicFrame):
-        return frame.apply(x)
-    raise UsageError(f"not a frame: {frame!r}")
 
 
 def finite_frame(alg: FiniteAlgebra, table: dict, name: str = "") -> FiniteFrame:

@@ -184,16 +184,8 @@ def ep_boolean_op(op: str, *sets: EPSet) -> EPSet:
     return fn(*sets)
 
 
-def ep_membership(s: EPSet, n: int) -> bool:
-    return s.member(n)
-
-
 def ep_leq(a: EPSet, b: EPSet) -> bool:
     return ep_meet(a, b) == a
-
-
-def ep_equal(a: EPSet, b: EPSet) -> bool:
-    return a == b
 
 
 @dataclass(frozen=True)

@@ -158,11 +158,12 @@ class Clause:
 #             | ident | '(' term ')'
 # 'g' and 'h' are accepted as aliases of the operation symbol 'f'.
 
-_SYMBOLS = ("<->", "->", "-", "&", "|", "(", ")", "=")
 _OP_NAMES = ("f", "g", "h")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, symbols):
+    """(kind, value, offset) triples; `symbols` are tried in order, so a
+    longer symbol must come before its prefixes."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -170,14 +171,10 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append((sym, sym, i))
-                i += len(sym)
-                matched = True
-                break
-        if matched:
+        sym = next((s for s in symbols if text.startswith(s, i)), None)
+        if sym is not None:
+            tokens.append((sym, sym, i))
+            i += len(sym)
             continue
         if c.isdigit():
             j = i
@@ -199,9 +196,10 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    _SYMBOLS = ("<->", "->", "-", "&", "|", "(", ")", "=")
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, self._SYMBOLS)
         self.pos = 0
 
     def peek(self):
@@ -218,6 +216,11 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
                              tok[2])
         return tok
+
+    def whole_term(self) -> Term:
+        t = self.term()
+        self.expect("END")
+        return t
 
     def term(self) -> Term:
         return self.bicond()
@@ -283,10 +286,7 @@ class _Parser:
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.term()
-    p.expect("END")
-    return t
+    return _Parser(text).whole_term()
 
 
 def parse_identity(text: str) -> Identity:
@@ -301,76 +301,15 @@ def parse_identity(text: str) -> Identity:
 # ---------------------------------------------------------------------------
 # The standard modal-to-algebraic translation: diamond becomes the frame
 # operation, falsum becomes 0, conjunction and negation map homomorphically.
-# Modal sugar ([], ->, |, top) is desugared first.
+# Modal sugar ([], ->, |, top) is desugared first.  Formulas are parsed by
+# the term grammar above with modal symbols, which have no '<->', '-' or
+# '=', and with modal atoms:
+#   unary := '~' unary | '<>' unary | '[]' unary | 'bot' | 'top' | letter
+#          | '(' term ')'
 
 
-class _ModalParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-
-    _MSYMS = ("->", "<>", "[]", "~", "&", "|", "(", ")")
-
-    def _tokenize(self, text):
-        tokens = []
-        i, n = 0, len(text)
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            matched = False
-            for sym in self._MSYMS:
-                if text.startswith(sym, i):
-                    tokens.append((sym, sym, i))
-                    i += len(sym)
-                    matched = True
-                    break
-            if matched:
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(("NAME", text[i:j], i))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {c!r}", i)
-        tokens.append(("END", "", n))
-        return tokens
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def formula(self) -> Term:
-        return self.arrow()
-
-    def arrow(self) -> Term:
-        t = self.disj()
-        if self.peek()[0] == "->":
-            self.next()
-            return arrow_t(t, self.arrow())
-        return t
-
-    def disj(self) -> Term:
-        t = self.conj()
-        while self.peek()[0] == "|":
-            self.next()
-            t = join_t(t, self.conj())
-        return t
-
-    def conj(self) -> Term:
-        t = self.unary()
-        while self.peek()[0] == "&":
-            self.next()
-            t = Meet(t, self.unary())
-        return t
+class _ModalParser(_Parser):
+    _SYMBOLS = ("->", "<>", "[]", "~", "&", "|", "(", ")")
 
     def unary(self) -> Term:
         kind, value, at = self.next()
@@ -387,22 +326,15 @@ class _ModalParser:
                 return ONE
             return Var(value)
         if kind == "(":
-            inner = self.formula()
-            tok = self.next()
-            if tok[0] != ")":
-                raise ParseError("expected ')'", tok[2])
+            inner = self.term()
+            self.expect(")")
             return inner
         raise ParseError(f"expected a formula, found {value or 'end of input'!r}", at)
 
 
 def iota(text: str) -> Term:
     """Translate a modal formula into an algebraic term."""
-    p = _ModalParser(text)
-    t = p.formula()
-    tok = p.next()
-    if tok[0] != "END":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return t
+    return _ModalParser(text).whole_term()
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_criterion_13_oracle_suites():
         size = frame.alg.size
         t = frame.table
         congruentials = []
-        for a in frame.alg.enumerate():
+        for a in frame.alg.elements():
             # pair-definition oracle for the congruential condition
             ab = a.bits
             oracle = all(int(t[x]) & ab == int(t[y]) & ab
@@ -191,7 +191,7 @@ def test_criterion_13_oracle_suites():
                 disagreements += 1
             if oracle:
                 congruentials.append(a)
-        for c in frame.alg.enumerate():
+        for c in frame.alg.elements():
             best = max((a.bits for a in congruentials
                         if a.bits & c.bits == a.bits), default=0)
             got = largest_congruential_below(frame, c)

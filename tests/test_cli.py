@@ -142,17 +142,43 @@ def test_cli_verify_item_and_report(tmp_path, capsys):
     assert doc["items"][0]["item"] == "figure1"
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(tmp_path, capsys):
     assert run(["check", "props", "--frame", "wheel 5"]) == 2
     assert run(["check", "identity", "--frame", "wheel 5"]) == 2
     assert run(["frobnicate"]) == 2
     assert run(["check", "props", "--frame", "wheel 4", "--prop", "normal"]) == 2
     capsys.readouterr()
+    table = tmp_path / "bad.tbl"
+    table.write_text("atoms: 1\nf 0 zz\nf 1 1\n")
+    trace = tmp_path / "bad.trace"
+    trace.write_text("below E from x\n")
+    symbolic = "family A x={1}"
     for argv in (["check", "props", "--frame", "family B x={2,4}",
                   "--prop", "extensive", "--samples", "0"],
-                 ["verify", "--all", "--samples", "0"]):
-        assert run(argv) == 2
-        assert capsys.readouterr().err.startswith("error:")
+                 ["verify", "--all", "--samples", "0"],
+                 ["cong", "simple", "--frame", "wheel abc"],
+                 ["cep", "refute", "--frame", "wheel 5", "--gens", "zz"],
+                 ["cep", "refute", "--frame", "wheel 5", "--gens", "3f",
+                  "--element", "zz"],
+                 ["check", "props", "--frame", "family A x={a}", "--prop", "normal"],
+                 ["check", "props", "--frame", "family A x=periodic m=a",
+                  "--prop", "normal"],
+                 ["check", "props", "--frame", f"table {table}", "--prop", "normal"],
+                 ["trace", "replay", "--file", str(trace), "--frame", symbolic],
+                 ["cong", "simple", "--frame", symbolic],
+                 ["cong", "lattice", "--frame", symbolic],
+                 ["cep", "full", "--frame", symbolic],
+                 ["cep", "refute", "--frame", symbolic]):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+    # --seed and --samples exist only on the commands that sample
+    for argv in (["cong", "simple", "--frame", "wheel 5", "--seed", "3"],
+                 ["cep", "full", "--frame", "wheel 5", "--samples", "10"],
+                 ["trace", "replay", "--builtin", "ext2", "--seed", "3"],
+                 ["export", "dot", "--frame", "wheel 5", "--out", "x.dot",
+                  "--samples", "10"]):
+        assert run(argv) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entry_points():

@@ -1,62 +1,55 @@
-"""Powerset algebra basics: operations, enumeration, pair coding, axioms."""
+"""Powerset algebra basics: operations, enumeration, axioms."""
 
 import pytest
 
 from cep_lab.core import (ATOM_CAP, Element, FiniteAlgebra, ResourceLimitError,
-                          UsageError, pair_decode, pair_encode,
-                          powerset_algebra, product_algebra)
+                          UsageError)
 
 
 def test_make_powerset_sizes():
-    assert powerset_algebra(1).size == 2
-    assert powerset_algebra(2).size == 4
-    assert powerset_algebra(ATOM_CAP).mask == 2 ** ATOM_CAP - 1
+    assert FiniteAlgebra(1).size == 2
+    assert FiniteAlgebra(2).size == 4
+    assert FiniteAlgebra(ATOM_CAP).mask == 2 ** ATOM_CAP - 1
 
 
 def test_atom_cap_exceeded():
     with pytest.raises(ResourceLimitError, match="atom cap exceeded"):
-        powerset_algebra(25)
+        FiniteAlgebra(25)
     with pytest.raises(UsageError):
-        powerset_algebra(0)
+        FiniteAlgebra(0)
 
 
 def test_boolean_op_examples():
     alg = FiniteAlgebra(2)
     e = alg.element
-    assert alg.boolean_op("meet", e(0b01), e(0b11)) == e(0b01)
-    assert alg.boolean_op("bicond", e(0b10), e(0b10)) == alg.one
-    assert alg.boolean_op("bicond", e(0b01), e(0b11)) == e(0b01)
-    assert alg.boolean_op("neg", e(0b01)) == e(0b10)
-    assert alg.arrow(e(0b11), e(0b01)) == e(0b01)
+    assert e(0b01) & e(0b11) == e(0b01)
+    assert ~(e(0b10) ^ e(0b10)) == alg.one
+    assert ~(e(0b01) ^ e(0b11)) == e(0b01)
+    assert ~e(0b01) == e(0b10)
+    assert ~e(0b11) | e(0b01) == e(0b01)
 
 
-def test_boolean_op_arity_and_width_errors():
+def test_boolean_op_width_errors():
     alg = FiniteAlgebra(2)
-    with pytest.raises(UsageError):
-        alg.boolean_op("neg", alg.zero, alg.one)
-    with pytest.raises(UsageError):
-        alg.boolean_op("meet", alg.zero)
-    with pytest.raises(UsageError):
-        alg.meet(alg.zero, FiniteAlgebra(3).zero)
-    with pytest.raises(UsageError):
-        alg.boolean_op("nand", alg.zero, alg.one)
+    other = FiniteAlgebra(3).zero
+    for op in (Element.__and__, Element.__or__, Element.__xor__, Element.leq):
+        with pytest.raises(UsageError, match="width mismatch"):
+            op(alg.zero, other)
 
 
 def test_leq_examples():
     alg = FiniteAlgebra(2)
     e = alg.element
-    assert alg.leq(alg.zero, e(0b10))
-    assert alg.leq(e(0b01), e(0b11))
-    assert not alg.leq(e(0b10), e(0b01))
+    assert alg.zero.leq(e(0b10))
+    assert e(0b01).leq(e(0b11))
+    assert not e(0b10).leq(e(0b01))
 
 
 def test_enumerate():
     alg = FiniteAlgebra(2)
-    assert [e.bits for e in alg.enumerate("atoms")] == [0b01, 0b10]
-    assert [e.bits for e in alg.enumerate("coatoms")] == [0b10, 0b01]
-    assert [e.bits for e in FiniteAlgebra(1).enumerate("all")] == [0, 1]
-    with pytest.raises(UsageError):
-        alg.enumerate("ideals")
+    assert [e.bits for e in alg.atoms()] == [0b01, 0b10]
+    assert [e.bits for e in alg.coatoms()] == [0b10, 0b01]
+    assert [e.bits for e in FiniteAlgebra(1).elements()] == [0, 1]
 
 
 def test_element_str_is_msb_first():
@@ -64,43 +57,31 @@ def test_element_str_is_msb_first():
     assert str(Element(0b100, 3)) == "100"
 
 
-def test_pair_encode_decode():
-    a, b = FiniteAlgebra(2), FiniteAlgebra(3)
-    z = pair_encode(a, b, a.one, b.zero)
-    assert str(z) == "11000"  # first block all-ones, second block zero
-    assert pair_encode(a, b, a.zero, b.zero).bits == 0
-    for x in a.enumerate():
-        for y in b.enumerate():
-            assert pair_decode(a, b, pair_encode(a, b, x, y)) == (x, y)
-    assert product_algebra(a, b).atom_count == 5
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_boolean_algebra_axioms_exhaustive(n):
     alg = FiniteAlgebra(n)
-    elems = list(alg.enumerate())
+    elems = list(alg.elements())
     for x in elems:
-        assert alg.join(x, alg.neg(x)) == alg.one
-        assert alg.meet(x, alg.neg(x)) == alg.zero
-        assert alg.neg(alg.neg(x)) == x
-        assert alg.join(x, alg.zero) == x
-        assert alg.meet(x, alg.one) == x
+        assert x | ~x == alg.one
+        assert x & ~x == alg.zero
+        assert ~~x == x
+        assert x | alg.zero == x
+        assert x & alg.one == x
         for y in elems:
-            assert alg.meet(x, y) == alg.meet(y, x)
-            assert alg.join(x, y) == alg.join(y, x)
-            assert alg.meet(x, alg.join(x, y)) == x
-            assert alg.join(x, alg.meet(x, y)) == x
+            assert x & y == y & x
+            assert x | y == y | x
+            assert x & (x | y) == x
+            assert x | (x & y) == x
             for z in elems:
-                assert alg.meet(x, alg.join(y, z)) == \
-                    alg.join(alg.meet(x, y), alg.meet(x, z))
-                assert alg.meet(alg.meet(x, y), z) == alg.meet(x, alg.meet(y, z))
+                assert x & (y | z) == (x & y) | (x & z)
+                assert (x & y) & z == x & (y & z)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bicond_and_order_compatibility(n):
     alg = FiniteAlgebra(n)
-    elems = list(alg.enumerate())
+    elems = list(alg.elements())
     for x in elems:
         for y in elems:
-            assert (alg.bicond(x, y) == alg.one) == (x == y)
-            assert alg.leq(x, y) == (alg.join(x, y) == y)
+            assert (~(x ^ y) == alg.one) == (x == y)
+            assert x.leq(y) == ((x | y) == y)

@@ -10,9 +10,9 @@ from cep_lab.core import UsageError
 from cep_lab.periodic import (EMPTY, EVENS, MULT4, NATS, ODDS, EPSetSampler,
                               classify, co_initial_segment_set,
                               co_singleton_set, cofinite_set, ep_bicond,
-                              ep_boolean_op, ep_equal, ep_join, ep_leq,
-                              ep_meet, ep_membership, ep_neg, finite_set,
-                              initial_segment_set, make_periodic)
+                              ep_boolean_op, ep_join, ep_leq, ep_meet,
+                              ep_neg, finite_set, initial_segment_set,
+                              make_periodic)
 
 SCAN = 1000
 
@@ -44,9 +44,9 @@ def test_canonicalization():
 
 
 def test_membership_examples():
-    assert ep_membership(MULT4, 8)
-    assert not ep_membership(MULT4, 2)
-    assert ep_membership(ODDS, 7)
+    assert MULT4.member(8)
+    assert not MULT4.member(2)
+    assert ODDS.member(7)
 
 
 def test_boolean_op_examples():
@@ -87,9 +87,9 @@ def test_classify_priority_and_flags():
 
 
 def test_ep_equal_examples():
-    assert ep_equal(EVENS, make_periodic(4, (0, 2)))
-    assert not ep_equal(EVENS, ODDS)
-    assert ep_equal(ep_join(MULT4, ODDS), ep_join(ODDS, MULT4))
+    assert EVENS == make_periodic(4, (0, 2))
+    assert EVENS != ODDS
+    assert ep_join(MULT4, ODDS) == ep_join(ODDS, MULT4)
 
 
 def test_random_ops_match_pointwise_oracle():

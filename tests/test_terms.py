@@ -105,8 +105,9 @@ def test_iota_examples():
     assert iota("~(p & q)") == Neg(Meet(Var("p"), Var("q")))
     assert iota("[]p") == Neg(FApp(Neg(Var("p"))))
     assert iota("p -> q") == parse_term("p -> q")
-    with pytest.raises(ParseError):
-        iota("p & & q")
+    for text in ("p & & q", "p q", "1", "<>", "p <-> q"):
+        with pytest.raises(ParseError):
+            iota(text)
 
 
 # --- independent modal oracle -------------------------------------------
@@ -239,9 +240,9 @@ def test_phi_encoding_matches_direct_conjunction():
             asgn = {"x": st.alg.element(xb), "y": st.alg.element(yb)}
             y = asgn["y"]
             fy = st.apply(y)
-            fny = st.apply(st.alg.neg(y))
+            fny = st.apply(~y)
             direct = (fy == st.alg.one or fny == st.alg.one or
-                      (fy == y and fny == st.alg.neg(y) and
+                      (fy == y and fny == ~y and
                        eval_term(st, rel.lhs, asgn) == eval_term(st, rel.rhs, asgn)))
             encoded = any(
                 eval_term(st, d.lhs, asgn) == eval_term(st, d.rhs, asgn)
